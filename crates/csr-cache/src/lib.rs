@@ -46,6 +46,7 @@
 
 mod cache;
 mod policy;
+mod recency;
 mod selector;
 mod shard;
 mod stats;

@@ -169,7 +169,7 @@ impl std::fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
+    use cache_sim::{BlockAddr, Cost, Way, WayView};
 
     #[test]
     fn cores_report_matching_names() {
@@ -212,7 +212,7 @@ mod tests {
             .collect();
         for p in Policy::ALL {
             let mut core = p.build_core(4);
-            let v = core.victim(&SetView::new(&entries));
+            let v = core.victim(&mut entries.iter().rev().copied());
             // Uniform costs: every policy falls back to the LRU way.
             assert_eq!(v, Way(3), "{p}");
         }

@@ -1,6 +1,5 @@
-//! One independently locked shard: a slab of entries threaded on an
-//! intrusive doubly linked recency list, an index map, and a pluggable
-//! [`EvictionPolicy`] core.
+//! One independently locked shard: a [`RecencyList`] of entries, an index
+//! map, and a pluggable [`EvictionPolicy`] core.
 //!
 //! A shard is to the key-value cache what one set is to a hardware cache:
 //! the policy core sees the shard as a single replacement region whose
@@ -10,7 +9,7 @@
 //! never affect correctness of the key-value mapping itself, which always
 //! compares full keys.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
+use cache_sim::BlockAddr;
 use csr::EvictionPolicy;
 use csr_obs::{Histogram, Registry};
 use std::collections::HashMap;
@@ -19,11 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+use crate::recency::RecencyList;
 use crate::selector::SelectorCell;
 use crate::stats::CacheStats;
-
-/// Sentinel slot index for list ends.
-const NIL: u32 = u32::MAX;
 
 /// Per-shard counters: mutated under the shard lock, loaded without it.
 #[derive(Debug, Default)]
@@ -114,7 +111,11 @@ impl OpTimer {
 
     /// Starts a timer for one in every `sample_every` calls.
     fn maybe_start(&self) -> Option<Instant> {
-        if self.ticker.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.sample_every) {
+        if self
+            .ticker
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(self.sample_every)
+        {
             Some(Instant::now())
         } else {
             None
@@ -207,111 +208,18 @@ impl<K: Hash + Eq, V> Drop for FlightGuard<'_, K, V> {
     }
 }
 
-/// One slab entry: the key-value pair plus its recency-list links.
-struct Slot<K, V> {
+/// The payload of one resident node.
+struct Entry<K, V> {
     key: K,
     value: V,
-    /// Miss cost as computed by the cache's cost function at fill time.
-    cost: u64,
-    /// Stable policy-visible identity: the 64-bit hash of the key.
-    id: BlockAddr,
-    prev: u32,
-    next: u32,
 }
 
 struct ShardState<K, V, S> {
     /// key -> slab slot.
     map: HashMap<K, u32, S>,
-    slots: Vec<Option<Slot<K, V>>>,
-    free: Vec<u32>,
-    /// MRU end of the recency list.
-    head: u32,
-    /// LRU end of the recency list.
-    tail: u32,
+    /// The resident entries in recency order.
+    list: RecencyList<Entry<K, V>>,
     policy: Box<dyn EvictionPolicy + Send>,
-}
-
-impl<K, V, S> ShardState<K, V, S> {
-    fn slot(&self, i: u32) -> &Slot<K, V> {
-        self.slots[i as usize]
-            .as_ref()
-            .expect("linked slot must be occupied")
-    }
-
-    fn slot_mut(&mut self, i: u32) -> &mut Slot<K, V> {
-        self.slots[i as usize]
-            .as_mut()
-            .expect("linked slot must be occupied")
-    }
-
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slot_mut(old_head).prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn move_to_front(&mut self, i: u32) {
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-    }
-
-    /// `(id, cost)` of the LRU entry, if any — what the policy cores call
-    /// the LRU block.
-    fn lru_of(&self) -> Option<(BlockAddr, Cost)> {
-        if self.tail == NIL {
-            None
-        } else {
-            let s = self.slot(self.tail);
-            Some((s.id, Cost(s.cost)))
-        }
-    }
-
-    /// Materializes the recency stack MRU → LRU for victim selection (the
-    /// only O(capacity) step; runs once per eviction).
-    fn view_entries(&self) -> Vec<WayView> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            let s = self.slot(cur);
-            out.push(WayView {
-                way: Way(cur as usize),
-                block: s.id,
-                cost: Cost(s.cost),
-                dirty: false,
-            });
-            cur = s.next;
-        }
-        out
-    }
 }
 
 pub(crate) struct Shard<K, V, S> {
@@ -339,17 +247,10 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         selector: Option<SelectorCell>,
     ) -> Self {
         assert!(capacity > 0, "shard capacity must be positive");
-        assert!(
-            capacity < NIL as usize,
-            "shard capacity must fit in a u32 slot index"
-        );
         Shard {
             state: Mutex::new(ShardState {
                 map: HashMap::with_capacity_and_hasher(capacity, hasher),
-                slots: Vec::with_capacity(capacity),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
+                list: RecencyList::with_capacity(capacity),
                 policy,
             }),
             inflight: Mutex::new(HashMap::new()),
@@ -371,14 +272,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     /// the recency order matches the shard's — then it simply takes over.
     fn swap_policy(&self, mut core: Box<dyn EvictionPolicy + Send>) {
         let mut st = self.lock();
-        let mut cur = st.tail;
-        while cur != NIL {
-            let (id, way, cost, prev) = {
-                let s = st.slot(cur);
-                (s.id, Way(cur as usize), Cost(s.cost), s.prev)
-            };
-            core.on_fill(id, way, cost);
-            cur = prev;
+        for e in st.list.walk() {
+            core.on_fill(e.block, e.way, e.cost);
         }
         st.policy = core;
     }
@@ -410,28 +305,22 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         let timer = self.metrics.as_ref().map(|m| &m.get_ns);
         let started = timer.and_then(OpTimer::maybe_start);
         ShardCounters::bump(&self.counters.lookups);
-        let mut st = self.lock();
+        let mut guard = self.lock();
+        let st = &mut *guard;
         let result = match st.map.get(key).copied() {
             Some(i) => {
-                let is_lru = st.tail == i;
-                let (sid, way, cost) = {
-                    let s = st.slot(i);
-                    (s.id, Way(i as usize), Cost(s.cost))
-                };
-                st.policy.on_hit(sid, way, cost, is_lru);
-                st.move_to_front(i);
-                let value = st.slot(i).value.clone();
+                st.list.hit(i, &mut *st.policy);
+                let value = st.list.get(i).item.value.clone();
                 ShardCounters::bump(&self.counters.hits);
                 Some(value)
             }
             None => {
-                let lru = st.lru_of();
-                st.policy.on_miss(id, lru);
+                st.list.miss(id, &mut *st.policy);
                 ShardCounters::bump(&self.counters.misses);
                 None
             }
         };
-        drop(st);
+        drop(guard);
         if let Some(cell) = &self.selector {
             if cell.sampled(id) {
                 if let Some(flip) = cell.on_get(id) {
@@ -463,21 +352,13 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     }
 
     fn insert_locked(&self, key: K, value: V, cost: u64, id: BlockAddr) -> Option<V> {
-        let mut st = self.lock();
+        let mut guard = self.lock();
+        let st = &mut *guard;
         if let Some(i) = st.map.get(&key).copied() {
             // Overwrite in place: treat as an access (promote + notify),
             // then refresh the stored cost for cost-dependent policies.
-            let is_lru = st.tail == i;
-            let (sid, old_cost) = {
-                let s = st.slot(i);
-                (s.id, Cost(s.cost))
-            };
-            st.policy.on_hit(sid, Way(i as usize), old_cost, is_lru);
-            st.move_to_front(i);
-            st.policy.on_fill(sid, Way(i as usize), Cost(cost));
-            let s = st.slot_mut(i);
-            s.cost = cost;
-            let old = std::mem::replace(&mut s.value, value);
+            st.list.refill(i, cost, &mut *st.policy);
+            let old = std::mem::replace(&mut st.list.get_mut(i).item.value, value);
             ShardCounters::bump(&self.counters.updates);
             return Some(old);
         }
@@ -486,44 +367,24 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         // get-then-insert flow this is the second on_miss for the same
         // miss — harmless by the EvictionPolicy contract (the first call
         // consumed any matching ETD entry).
-        let lru = st.lru_of();
-        st.policy.on_miss(id, lru);
+        st.list.miss(id, &mut *st.policy);
 
         if st.map.len() == self.capacity {
-            let entries = st.view_entries();
-            let victim = st.policy.victim(&SetView::new(&entries));
-            let vi = victim.0 as u32;
-            if st.tail != vi {
+            let (evicted, was_lru) = st.list.evict(&mut *st.policy);
+            if !was_lru {
                 ShardCounters::bump(&self.counters.reservations);
             }
-            st.unlink(vi);
-            let evicted = st.slots[vi as usize]
-                .take()
-                .expect("victim slot must be occupied");
-            st.map.remove(&evicted.key);
-            st.free.push(vi);
+            st.map.remove(&evicted.item.key);
             ShardCounters::bump(&self.counters.evictions);
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }
 
-        let i = match st.free.pop() {
-            Some(i) => i,
-            None => {
-                st.slots.push(None);
-                (st.slots.len() - 1) as u32
-            }
-        };
-        st.slots[i as usize] = Some(Slot {
+        let entry = Entry {
             key: key.clone(),
             value,
-            cost,
-            id,
-            prev: NIL,
-            next: NIL,
-        });
+        };
+        let i = st.list.insert(id, cost, entry, &mut *st.policy);
         st.map.insert(key, i);
-        st.push_front(i);
-        st.policy.on_fill(id, Way(i as usize), Cost(cost));
         // Counter mutations stay inside the lock region: the lock
         // serializes them per shard, so `resident` (read lock-free by
         // `len`) can transiently undercount but never exceed capacity.
@@ -546,7 +407,10 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         V: Clone,
     {
         let st = self.lock();
-        st.map.get(key).copied().map(|i| st.slot(i).value.clone())
+        st.map
+            .get(key)
+            .copied()
+            .map(|i| st.list.get(i).item.value.clone())
     }
 
     /// Single-flight read-through lookup. On a miss, exactly one caller
@@ -666,18 +530,17 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     pub(crate) fn remove(&self, key: &K) -> Option<V> {
         let mut st = self.lock();
         let i = st.map.remove(key)?;
-        st.unlink(i);
-        let slot = self.take_slot(&mut st, i);
-        st.policy.on_remove(slot.id);
+        let node = st.list.remove(i);
+        st.policy.on_remove(node.id);
         ShardCounters::bump(&self.counters.removals);
         self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         drop(st);
         if let Some(cell) = &self.selector {
-            if cell.sampled(slot.id) {
-                cell.on_remove(slot.id);
+            if cell.sampled(node.id) {
+                cell.on_remove(node.id);
             }
         }
-        Some(slot.value)
+        Some(node.item.value)
     }
 
     pub(crate) fn contains(&self, key: &K) -> bool {
@@ -685,40 +548,28 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     }
 
     pub(crate) fn clear(&self) {
-        let mut st = self.lock();
-        let mut cur = st.head;
-        let mut dropped = 0u64;
+        let mut guard = self.lock();
+        let st = &mut *guard;
         let mut sampled_ids = Vec::new();
-        while cur != NIL {
-            let slot = self.take_slot(&mut st, cur);
-            st.policy.on_remove(slot.id);
+        for (_, node) in st.list.iter_lru() {
+            st.policy.on_remove(node.id);
             if let Some(cell) = &self.selector {
-                if cell.sampled(slot.id) {
-                    sampled_ids.push(slot.id);
+                if cell.sampled(node.id) {
+                    sampled_ids.push(node.id);
                 }
             }
-            cur = slot.next;
-            dropped += 1;
         }
+        let dropped = st.map.len() as u64;
         st.map.clear();
-        st.free.clear();
-        st.slots.clear();
-        st.head = NIL;
-        st.tail = NIL;
+        st.list.clear();
         self.counters.removals.fetch_add(dropped, Ordering::Relaxed);
         self.counters.resident.fetch_sub(dropped, Ordering::Relaxed);
-        drop(st);
+        drop(guard);
         if let Some(cell) = &self.selector {
             for id in sampled_ids {
                 cell.on_remove(id);
             }
         }
-    }
-
-    fn take_slot(&self, st: &mut ShardState<K, V, S>, i: u32) -> Slot<K, V> {
-        let slot = st.slots[i as usize].take().expect("slot must be occupied");
-        st.free.push(i);
-        slot
     }
 
     /// Clones every resident `(key, value, cost)` triple out of the shard
@@ -732,13 +583,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         V: Clone,
     {
         let st = self.lock();
-        let mut out = Vec::with_capacity(st.map.len());
-        let mut cur = st.tail;
-        while cur != NIL {
-            let s = st.slot(cur);
-            out.push((s.key.clone(), s.value.clone(), s.cost));
-            cur = s.prev;
-        }
-        out
+        st.list
+            .iter_lru()
+            .map(|(_, n)| (n.item.key.clone(), n.item.value.clone(), n.cost))
+            .collect()
     }
 }

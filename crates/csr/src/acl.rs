@@ -20,9 +20,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy};
 use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 
 /// Counter ceiling of the 2-bit automaton.
@@ -188,40 +188,36 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
         "ACL"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        self.tracker.sync(view);
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let lru = lru_item(walk);
+        self.tracker.sync_to(Some((lru.block, lru.cost)));
         if self.automaton.enabled() {
             // DCL behaviour: reserve the LRU block if a cheaper block sits
             // above it.
-            if let Some((way, pos)) = reservation_victim(view, self.tracker.acost()) {
-                let e = view.at(pos);
+            if let Some(e) = reservation_victim(walk, self.tracker.acost()) {
                 self.etd.insert(e.block, e.cost);
                 if !self.automaton.reserved {
                     self.automaton.reserved = true;
                     self.stats.reservations += 1;
-                    let lru = view.lru();
                     self.obs.on_reserve(lru.block, e.block, e.cost);
                 }
                 self.obs.on_evict(e.block, e.cost);
-                return way;
+                return e.way;
             }
             // The reserved block (if any) is evicted: the reservation failed.
             self.end_reservation_failure();
         } else {
             // Watch mode: remember the evicted LRU block if a reservation
             // *could* have been made (a cheaper block exists in the set).
-            let lru = view.lru();
-            let cheaper_exists = view
-                .iter()
-                .take(view.len().saturating_sub(1))
-                .any(|e| e.cost.0 < lru.cost.0);
+            // This is the reservation scan against the LRU block's full
+            // cost, so it too stops at the first cheaper block.
+            let cheaper_exists = reservation_victim(walk, lru.cost.0).is_some();
             if cheaper_exists {
                 self.etd.insert(lru.block, lru.cost);
                 self.stats.watch_inserts += 1;
             }
         }
         self.stats.lru_evictions += 1;
-        let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way

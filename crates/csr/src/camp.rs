@@ -19,8 +19,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -170,14 +170,13 @@ impl<O: Observer> CampCore<O> {
         }
     }
 
-    /// Books the eviction of the view entry at `pos` and returns its way.
-    fn finish(&mut self, view: &SetView<'_>, pos: usize) -> Way {
+    /// Books the eviction of `chosen` (the walk began at `lru`) and returns
+    /// its way.
+    fn finish(&mut self, chosen: WayView, lru: WayView) -> Way {
         self.stats.victims += 1;
-        let chosen = view.at(pos);
         self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
+        if chosen.way != lru.way {
             self.stats.non_lru_victims += 1;
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
         }
         chosen.way
@@ -189,24 +188,20 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
         "CAMP"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let (lru, by_block) = collect_walk(walk);
         // Every pass removes one block from the structures, so this
-        // terminates; blocks unknown to the view are dropped and retried.
+        // terminates; blocks unknown to the walk are dropped and retried.
         while let Some((b, key)) = self.min_head() {
             self.drop_block(b);
-            if let Some(&pos) = by_block.get(&b) {
+            if let Some(&e) = by_block.get(&b) {
                 self.age = self.age.max(key);
-                return self.finish(view, pos);
+                return self.finish(e, lru);
             }
         }
         // Fresh or desynced core: evict the LRU block.
-        let lru = view.lru();
         self.drop_block(lru.block);
-        self.finish(view, view.len() - 1)
+        self.finish(lru, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -352,7 +347,7 @@ mod tests {
             })
             .collect();
         let mut core = CampCore::new(4);
-        assert_eq!(core.victim(&SetView::new(&entries)), Way(3));
+        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
         assert_eq!(core.name(), "CAMP");
     }
 }

@@ -14,9 +14,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy};
 use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Dcl`] / [`DclCore`].
@@ -120,24 +120,22 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
         "DCL"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        self.tracker.sync(view);
-        if let Some((way, pos)) = reservation_victim(view, self.tracker.acost()) {
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let lru = lru_item(walk);
+        self.tracker.sync_to(Some((lru.block, lru.cost)));
+        if let Some(e) = reservation_victim(walk, self.tracker.acost()) {
             // Unlike BCL, no depreciation here: the displaced block is
             // recorded in the ETD and charged only if re-referenced.
-            let e = view.at(pos);
             self.etd.insert(e.block, e.cost);
             self.stats.reservations += 1;
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, e.block, e.cost);
             self.obs.on_evict(e.block, e.cost);
-            return way;
+            return e.way;
         }
         // The LRU block itself goes. Any ETD entries for the ended
         // reservation are deliberately kept (hardware would not sweep
         // them); they age out of the s-1-entry directory naturally.
         self.stats.lru_evictions += 1;
-        let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way

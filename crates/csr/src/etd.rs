@@ -19,6 +19,7 @@
 //! shards of `csr-cache`) embed an `EtdSet` directly.
 
 use cache_sim::{BlockAddr, Cost, SetIndex};
+use std::collections::VecDeque;
 
 /// Configuration of an [`Etd`] / [`EtdSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,8 +125,10 @@ pub struct EtdSet {
     /// truncated) tag comparison, as hardware would. Zero when the region
     /// is not set-indexed (a shard keyed by full block identity).
     stripped_bits: u32,
-    /// Valid entries, oldest allocation first.
-    entries: Vec<Entry>,
+    /// Valid entries, oldest allocation first. A ring buffer, so dropping
+    /// the oldest entry of a full directory is O(1) rather than a shift of
+    /// every younger entry.
+    entries: VecDeque<Entry>,
     stats: EtdStats,
 }
 
@@ -145,7 +148,7 @@ impl EtdSet {
         EtdSet {
             cfg,
             stripped_bits: bits,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             stats: EtdStats::default(),
         }
     }
@@ -178,10 +181,10 @@ impl EtdSet {
         }
         let tag = self.stored_tag_of(block);
         if self.entries.len() >= self.cfg.entries_per_set {
-            self.entries.remove(0);
+            self.entries.pop_front();
             self.stats.capacity_evictions += 1;
         }
-        self.entries.push(Entry {
+        self.entries.push_back(Entry {
             stored_tag: tag,
             full_block: block,
             cost,
@@ -200,7 +203,7 @@ impl EtdSet {
     pub fn probe_and_take(&mut self, block: BlockAddr) -> Option<Cost> {
         let tag = self.stored_tag_of(block);
         let pos = self.entries.iter().position(|e| e.stored_tag == tag)?;
-        let entry = self.entries.remove(pos);
+        let entry = self.entries.remove(pos)?;
         self.stats.hits += 1;
         if entry.full_block != block {
             self.stats.false_matches += 1;

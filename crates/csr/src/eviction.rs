@@ -12,22 +12,30 @@
 //! * the shards of the concurrent `csr-cache` key-value cache, where a
 //!   "set" is an arbitrarily large shard and no `SetIndex` exists.
 //!
-//! Unlike `ReplacementPolicy`, the hit/miss notifications here carry the
-//! O(1) facts a policy actually consumes (block identity, cost, whether the
-//! block is at the LRU end) instead of a full [`SetView`], so a linked-list
-//! shard never materializes its recency order except when selecting a
-//! victim.
+//! Every notification carries only O(1) facts (block identity, cost,
+//! whether the block is at the LRU end). Victim selection receives a
+//! **walk**: an iterator that yields the region's blocks one at a time,
+//! from the LRU end toward the MRU end, only as far as the policy pulls it.
+//! The paper's Figure 1 scan is already incremental, so LRU reads one item
+//! and BCL/DCL/ACL stop at the first block cheaper than `Acost`; a
+//! linked-list shard of any size never copies its recency order. The
+//! simulator adapts its materialized [`SetView`] with
+//! `view.iter().rev().copied()`.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way};
+use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
 use csr_obs::{NopObserver, Observer};
+use std::collections::HashMap;
 
 /// A replacement policy for a single region (one cache set, one shard).
 ///
 /// # Contract
 ///
 /// * [`victim`](Self::victim) is called exactly once per replacement, only
-///   on a full region, with the region's valid blocks in MRU → LRU order;
-///   the returned way will be evicted.
+///   on a full region (every way holds a valid block). Its walk yields the
+///   valid blocks in LRU → MRU order, the first item being the LRU block;
+///   the policy pulls only as many items as its decision needs, and the
+///   returned way (one the walk yielded) will be evicted. The walk borrows
+///   the region, so it is short-lived: a policy must not retain it.
 /// * [`on_hit`](Self::on_hit) is delivered *before* the block is promoted
 ///   to the MRU position; `is_lru` reports whether it currently sits at the
 ///   LRU end.
@@ -44,8 +52,9 @@ pub trait EvictionPolicy {
     /// A short human-readable name ("LRU", "GD", "BCL", …).
     fn name(&self) -> &'static str;
 
-    /// Selects the way to evict from the full region.
-    fn victim(&mut self, view: &SetView<'_>) -> Way;
+    /// Selects the way to evict from the full region, pulling blocks from
+    /// `walk` (LRU first) only as far as the decision requires.
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way;
 
     /// An access hit `block` on `way` (cost as loaded at fill time);
     /// `is_lru` is true when the block is currently at the LRU end.
@@ -75,8 +84,8 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        (**self).victim(view)
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        (**self).victim(walk)
     }
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
         (**self).on_hit(block, way, cost, is_lru);
@@ -123,8 +132,8 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
         "LRU"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let lru = view.lru();
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let lru = lru_item(walk);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way
     }
@@ -136,6 +145,51 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
     fn on_miss(&mut self, block: BlockAddr, _lru: Option<(BlockAddr, Cost)>) {
         self.obs.on_miss(block);
     }
+}
+
+/// The first item of a victim walk: the LRU block of the (full) region.
+///
+/// # Panics
+///
+/// Panics if the walk is empty, which the [`EvictionPolicy`] contract rules
+/// out.
+pub(crate) fn lru_item(walk: &mut dyn Iterator<Item = WayView>) -> WayView {
+    walk.next().expect("victim() requires a non-empty region")
+}
+
+/// One allocation-free pass over a whole victim walk for the priority
+/// policies (GD, GDSF, LFUDA): returns the LRU block, the block with the
+/// smallest `key` and that key. The strict `<` resolves ties toward the LRU
+/// end.
+pub(crate) fn min_victim(
+    walk: &mut dyn Iterator<Item = WayView>,
+    key: impl Fn(&WayView) -> u64,
+) -> (WayView, WayView, u64) {
+    let lru = lru_item(walk);
+    let (mut best, mut kmin) = (lru, key(&lru));
+    for e in walk {
+        let k = key(&e);
+        if k < kmin {
+            (best, kmin) = (e, k);
+        }
+    }
+    (lru, best, kmin)
+}
+
+/// Collects a whole victim walk for the queue policies (S3-FIFO, SLRU,
+/// CAMP), whose own queues name the victim by block identity: returns the
+/// LRU block and a block → way-view map of every resident block.
+pub(crate) fn collect_walk(
+    walk: &mut dyn Iterator<Item = WayView>,
+) -> (WayView, HashMap<BlockAddr, WayView>) {
+    let lru = lru_item(walk);
+    let (lower, _) = walk.size_hint();
+    let mut by_block = HashMap::with_capacity(lower + 1);
+    by_block.insert(lru.block, lru);
+    for e in walk {
+        by_block.insert(e.block, e);
+    }
+    (lru, by_block)
 }
 
 /// Extracts the `(block, cost, is_lru)` triple for a hit at `stack_pos`
@@ -170,7 +224,10 @@ macro_rules! impl_replacement_via_cores {
                 set: cache_sim::SetIndex,
                 view: &cache_sim::SetView<'_>,
             ) -> cache_sim::Way {
-                crate::eviction::EvictionPolicy::victim(&mut self.cores[set.0], view)
+                crate::eviction::EvictionPolicy::victim(
+                    &mut self.cores[set.0],
+                    &mut view.iter().rev().copied(),
+                )
             }
 
             fn on_hit(
@@ -228,7 +285,6 @@ pub(crate) use impl_replacement_via_cores;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::WayView;
 
     fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
         costs
@@ -247,7 +303,7 @@ mod tests {
     fn lru_core_picks_the_lru_way() {
         let e = entries(&[(1, 5), (2, 9), (3, 1)]);
         let mut core = LruCore::new();
-        assert_eq!(core.victim(&SetView::new(&e)), Way(2));
+        assert_eq!(core.victim(&mut e.iter().rev().copied()), Way(2));
         assert_eq!(core.name(), "LRU");
     }
 
@@ -255,7 +311,7 @@ mod tests {
     fn boxed_core_dispatches() {
         let e = entries(&[(1, 5), (2, 9)]);
         let mut boxed: Box<dyn EvictionPolicy> = Box::new(LruCore::new());
-        assert_eq!(boxed.victim(&SetView::new(&e)), Way(1));
+        assert_eq!(boxed.victim(&mut e.iter().rev().copied()), Way(1));
         // Default notifications are no-ops and must not panic.
         boxed.on_hit(BlockAddr(1), Way(0), Cost(5), false);
         boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));

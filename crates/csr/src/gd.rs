@@ -16,8 +16,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`GreedyDual`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`GreedyDual`] / [`GdCore`].
@@ -81,35 +81,26 @@ impl<O: Observer> EvictionPolicy for GdCore<O> {
         "GD"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        // Minimum-H block; scanning LRU -> MRU with a strict `<` makes ties
-        // resolve toward the LRU end.
-        let mut best: Option<(Way, usize, u64)> = None;
-        for (pos, e) in view.iter().enumerate().rev() {
-            let val = self.h[e.way.0];
-            match best {
-                Some((_, _, b)) if b <= val => {}
-                _ => best = Some((e.way, pos, val)),
-            }
-        }
-        let (victim, pos, hmin) = best.expect("victim() requires a non-empty set");
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        // Minimum-H block; ties resolve toward the LRU end.
+        let (lru, chosen, hmin) = min_victim(walk, |e| self.h[e.way.0]);
         // Deduct the victim's remaining value from every surviving block.
-        for e in view.iter() {
-            if e.way != victim {
-                self.h[e.way.0] = self.h[e.way.0].saturating_sub(hmin);
+        // `victim` only runs on a full region, so every way of `h` holds a
+        // resident block and the deduction needs no second walk.
+        for (way, h) in self.h.iter_mut().enumerate() {
+            if way != chosen.way.0 {
+                *h = h.saturating_sub(hmin);
             }
         }
         self.stats.victims += 1;
-        let chosen = view.at(pos);
         self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
+        if chosen.way != lru.way {
             self.stats.non_lru_victims += 1;
             // GD has no reservation per se; report the spared LRU block so
             // non-LRU victimizations show up in decision traces.
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
         }
-        victim
+        chosen.way
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {

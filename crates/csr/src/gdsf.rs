@@ -16,8 +16,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Gdsf`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Gdsf`] / [`GdsfCore`].
@@ -102,28 +102,17 @@ impl<O: Observer> EvictionPolicy for GdsfCore<O> {
         "GDSF"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        // Minimum-K block; scanning LRU -> MRU with a strict `<` makes ties
-        // resolve toward the LRU end.
-        let mut best: Option<(Way, usize, u64)> = None;
-        for (pos, e) in view.iter().enumerate().rev() {
-            let val = self.prio[e.way.0];
-            match best {
-                Some((_, _, b)) if b <= val => {}
-                _ => best = Some((e.way, pos, val)),
-            }
-        }
-        let (victim, pos, kmin) = best.expect("victim() requires a non-empty set");
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        // Minimum-K block; ties resolve toward the LRU end.
+        let (lru, chosen, kmin) = min_victim(walk, |e| self.prio[e.way.0]);
         self.age = self.age.max(kmin);
         self.stats.victims += 1;
-        let chosen = view.at(pos);
         self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
+        if chosen.way != lru.way {
             self.stats.non_lru_victims += 1;
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
         }
-        victim
+        chosen.way
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {

@@ -8,21 +8,23 @@
 //! tracked block is hit, evicted or invalidated (each of which ends its stay
 //! in the LRU position).
 
-use cache_sim::{BlockAddr, Cost, SetView, Way};
+use cache_sim::{BlockAddr, Cost, WayView};
 
-/// The Figure-1 victim scan shared by BCL, DCL and ACL: walk the LRU stack
-/// from the second-LRU position toward the MRU and return the first block
-/// whose miss cost is strictly below `acost` (the reserved LRU block's
-/// depreciated cost), together with its stack position. `None` means no
-/// reservation is possible and the LRU block itself must go.
-pub(crate) fn reservation_victim(view: &SetView<'_>, acost: u64) -> Option<(Way, usize)> {
-    for pos in (0..view.len().saturating_sub(1)).rev() {
-        let e = view.at(pos);
-        if e.cost.0 < acost {
-            return Some((e.way, pos));
-        }
+/// The Figure-1 victim scan shared by BCL, DCL and ACL. The caller has
+/// already taken the LRU block off `walk`; the scan continues from the
+/// second-LRU position toward the MRU and returns the first block whose
+/// miss cost is strictly below `acost` (the reserved LRU block's
+/// depreciated cost), pulling nothing past it. `None` means no reservation
+/// is possible and the LRU block itself must go. With `acost == 0` no cost
+/// can qualify, so the walk is not advanced at all.
+pub(crate) fn reservation_victim(
+    mut walk: impl Iterator<Item = WayView>,
+    acost: u64,
+) -> Option<WayView> {
+    if acost == 0 {
+        return None;
     }
-    None
+    walk.find(|e| e.cost.0 < acost)
 }
 
 /// Per-set `Acost` state: which block is being tracked in the LRU position
@@ -37,20 +39,7 @@ impl AcostTracker {
     /// Reloads `Acost` from the current LRU block if the LRU identity
     /// changed since the last synchronization ("upon entering LRU position:
     /// Acost <- c(s)"). No-op while the same block stays in the LRU position,
-    /// preserving accumulated depreciation.
-    pub(crate) fn sync(&mut self, view: &SetView<'_>) {
-        let lru = if view.is_empty() {
-            None
-        } else {
-            let l = view.lru();
-            Some((l.block, l.cost))
-        };
-        self.sync_to(lru);
-    }
-
-    /// [`sync`](Self::sync) from an already-known LRU identity and cost —
-    /// the O(1) form consumers without a materialized [`SetView`] (e.g. a
-    /// linked-list shard) use.
+    /// preserving accumulated depreciation; `None` (an empty region) clears.
     pub(crate) fn sync_to(&mut self, lru: Option<(BlockAddr, Cost)>) {
         match lru {
             None => {
@@ -81,7 +70,8 @@ impl AcostTracker {
         self.lru_block
     }
 
-    /// Forgets the tracked block; the next [`sync`](Self::sync) reloads.
+    /// Forgets the tracked block; the next [`sync_to`](Self::sync_to)
+    /// reloads.
     pub(crate) fn reset(&mut self) {
         self.lru_block = None;
         self.acost = 0;
@@ -100,68 +90,59 @@ impl AcostTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{Cost, Way, WayView};
+    use cache_sim::Way;
 
-    fn view_of(entries: &[WayView]) -> SetView<'_> {
-        SetView::new(entries)
+    fn lru(block: u64, cost: u64) -> Option<(BlockAddr, Cost)> {
+        Some((BlockAddr(block), Cost(cost)))
     }
 
-    fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
-        costs
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, c))| WayView {
-                way: Way(i),
-                block: BlockAddr(b),
-                cost: Cost(c),
-                dirty: false,
-            })
-            .collect()
+    fn walk(costs: &[(u64, u64)]) -> impl Iterator<Item = WayView> + '_ {
+        costs.iter().enumerate().map(|(i, &(b, c))| WayView {
+            way: Way(i),
+            block: BlockAddr(b),
+            cost: Cost(c),
+            dirty: false,
+        })
     }
 
     #[test]
     fn sync_loads_lru_cost_once() {
-        let e = entries(&[(1, 2), (2, 8)]); // LRU = block 2 with cost 8
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 8);
         t.depreciate(Cost(3));
         assert_eq!(t.acost(), 5);
         // Same LRU: depreciation persists across syncs.
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 5);
     }
 
     #[test]
     fn sync_reloads_on_lru_change() {
-        let e1 = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e1));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(8));
         assert_eq!(t.acost(), 0);
-        let e2 = entries(&[(2, 8), (3, 4)]); // new LRU = block 3
-        t.sync(&view_of(&e2));
+        t.sync_to(lru(3, 4)); // new LRU = block 3
         assert_eq!(t.acost(), 4);
     }
 
     #[test]
     fn departure_of_tracked_block_resets() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(6));
         t.note_departure(BlockAddr(2));
         assert_eq!(t.tracked(), None);
         // Same block back in LRU position: Acost reloads fully.
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 8);
     }
 
     #[test]
     fn departure_of_other_block_is_ignored() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(1));
         t.note_departure(BlockAddr(1));
         assert_eq!(t.tracked(), Some(BlockAddr(2)));
@@ -170,20 +151,38 @@ mod tests {
 
     #[test]
     fn depreciation_saturates() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(100));
         assert_eq!(t.acost(), 0);
     }
 
     #[test]
-    fn empty_view_clears() {
+    fn empty_region_clears() {
         let mut t = AcostTracker::default();
-        let e = entries(&[(1, 5)]);
-        t.sync(&view_of(&e));
+        t.sync_to(lru(1, 5));
         assert_eq!(t.acost(), 5);
-        t.sync(&view_of(&[]));
+        t.sync_to(None);
         assert_eq!(t.tracked(), None);
+    }
+
+    #[test]
+    fn scan_returns_first_cheaper_block_above_lru() {
+        // LRU already taken: blocks 2 (cost 9), 3 (cost 4), 4 (cost 1).
+        let costs = [(2, 9), (3, 4), (4, 1)];
+        let mut w = walk(&costs);
+        let chosen = reservation_victim(&mut w, 5).expect("block 3 is cheaper");
+        assert_eq!(chosen.block, BlockAddr(3));
+        // Nothing past the chosen block was pulled.
+        assert_eq!(w.next().map(|e| e.block), Some(BlockAddr(4)));
+        assert_eq!(reservation_victim(&mut walk(&costs), 1), None);
+    }
+
+    #[test]
+    fn zero_acost_never_advances_the_walk() {
+        let costs = [(2, 0), (3, 0)];
+        let mut w = walk(&costs);
+        assert_eq!(reservation_victim(&mut w, 0), None);
+        assert_eq!(w.next().map(|e| e.block), Some(BlockAddr(2)));
     }
 }

@@ -21,8 +21,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -174,14 +174,13 @@ impl<O: Observer> S3FifoCore<O> {
         }
     }
 
-    /// Books the eviction of the view entry at `pos` and returns its way.
-    fn finish(&mut self, view: &SetView<'_>, pos: usize) -> Way {
+    /// Books the eviction of `chosen` (the walk began at `lru`) and returns
+    /// its way.
+    fn finish(&mut self, chosen: WayView, lru: WayView) -> Way {
         self.stats.victims += 1;
-        let chosen = view.at(pos);
         self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
+        if chosen.way != lru.way {
             self.stats.non_lru_victims += 1;
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
         }
         chosen.way
@@ -193,11 +192,8 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
         "S3-FIFO"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let (lru, by_block) = collect_walk(walk);
         // Every pass either evicts, promotes a small head (at most once per
         // live block), or decrements a main head's frequency (at most
         // FREQ_CAP times per block), so the bound below is generous.
@@ -227,10 +223,10 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 }
                 self.small_len -= 1;
                 self.meta.remove(&b);
-                if let Some(&pos) = by_block.get(&b) {
+                if let Some(&e) = by_block.get(&b) {
                     self.ghost_insert(b);
                     self.stats.small_evictions += 1;
-                    return self.finish(view, pos);
+                    return self.finish(e, lru);
                 }
             } else {
                 let Some(b) = self.pop_live_main() else {
@@ -251,15 +247,14 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 }
                 self.main_len -= 1;
                 self.meta.remove(&b);
-                if let Some(&pos) = by_block.get(&b) {
+                if let Some(&e) = by_block.get(&b) {
                     self.stats.main_evictions += 1;
-                    return self.finish(view, pos);
+                    return self.finish(e, lru);
                 }
             }
         }
-        // The queues know nothing about this view (fresh core, or one hot-
+        // The queues know nothing about this walk (fresh core, or one hot-
         // attached to a warm region): fall back to the LRU block.
-        let lru = view.lru();
         if let Some(m) = self.meta.remove(&lru.block) {
             if m.in_small {
                 self.small_len = self.small_len.saturating_sub(1);
@@ -267,7 +262,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 self.main_len = self.main_len.saturating_sub(1);
             }
         }
-        self.finish(view, view.len() - 1)
+        self.finish(lru, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -433,7 +428,7 @@ mod tests {
             })
             .collect();
         let mut core = S3FifoCore::new(4);
-        assert_eq!(core.victim(&SetView::new(&entries)), Way(3));
+        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
         assert_eq!(core.name(), "S3-FIFO");
     }
 

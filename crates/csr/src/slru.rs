@@ -17,8 +17,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
 
@@ -142,14 +142,13 @@ impl<O: Observer> SlruCore<O> {
         None
     }
 
-    /// Books the eviction of the view entry at `pos` and returns its way.
-    fn finish(&mut self, view: &SetView<'_>, pos: usize) -> Way {
+    /// Books the eviction of `chosen` (the walk began at `lru`) and returns
+    /// its way.
+    fn finish(&mut self, chosen: WayView, lru: WayView) -> Way {
         self.stats.victims += 1;
-        let chosen = view.at(pos);
         self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
+        if chosen.way != lru.way {
             self.stats.non_lru_victims += 1;
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
         }
         chosen.way
@@ -161,13 +160,10 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
         "SLRU"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
+    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+        let (lru, by_block) = collect_walk(walk);
         // Probationary LRU end first, then protected LRU end; skip blocks
-        // the view does not contain (a core hot-attached to a warm region).
+        // the walk does not contain (a core hot-attached to a warm region).
         let mut guard = self.prob.len() + self.prot.len() + 2;
         while guard > 0 {
             guard -= 1;
@@ -187,12 +183,11 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 self.prot_len = self.prot_len.saturating_sub(1);
             }
             self.meta.remove(&b);
-            if let Some(&pos) = by_block.get(&b) {
-                return self.finish(view, pos);
+            if let Some(&e) = by_block.get(&b) {
+                return self.finish(e, lru);
             }
         }
         // Fresh or desynced core: evict the LRU block.
-        let lru = view.lru();
         if let Some(m) = self.meta.remove(&lru.block) {
             if m.protected {
                 self.prot_len = self.prot_len.saturating_sub(1);
@@ -200,7 +195,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 self.prob_len = self.prob_len.saturating_sub(1);
             }
         }
-        self.finish(view, view.len() - 1)
+        self.finish(lru, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -380,7 +375,7 @@ mod tests {
             })
             .collect();
         let mut core = SlruCore::new(4);
-        assert_eq!(core.victim(&SetView::new(&entries)), Way(3));
+        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
         assert_eq!(core.name(), "SLRU");
     }
 }
