@@ -175,12 +175,15 @@ impl<P: ReplacementPolicy> Cache<P> {
     }
 
     /// Updates the stored miss cost of `block` (e.g. when a latency
-    /// predictor produces a fresher estimate). Returns `true` if resident.
+    /// predictor produces a fresher estimate) and tells the policy. Returns
+    /// `true` if resident.
     pub fn update_cost(&mut self, block: BlockAddr, cost: Cost) -> bool {
-        let set = &mut self.sets[self.geom.set_of(block).0];
+        let index = self.geom.set_of(block);
+        let set = &mut self.sets[index.0];
         match set.way_of(block) {
             Some(w) => {
                 set.frames[w.0].cost = cost;
+                self.policy.on_cost_update(index, block, w, cost);
                 true
             }
             None => false,
@@ -489,6 +492,32 @@ mod tests {
         assert!(c.update_cost(BlockAddr(1), Cost(5)));
         assert_eq!(c.cost_of(BlockAddr(1)), Some(Cost(5)));
         assert!(!c.update_cost(BlockAddr(99), Cost(5)));
+    }
+
+    #[test]
+    fn update_cost_tells_the_policy() {
+        /// LRU that records every in-place cost update.
+        #[derive(Default)]
+        struct Recording(Vec<(BlockAddr, Way, Cost)>);
+        impl ReplacementPolicy for Recording {
+            fn name(&self) -> &'static str {
+                "recording"
+            }
+            fn victim(&mut self, _set: SetIndex, view: &SetView<'_>) -> Way {
+                view.lru().way
+            }
+            fn on_cost_update(&mut self, _set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+                self.0.push((block, way, cost));
+            }
+        }
+        let mut c = Cache::new(Geometry::new(128, 64, 2), Recording::default());
+        c.access(BlockAddr(1), AccessType::Read, Cost(9));
+        c.access(BlockAddr(2), AccessType::Read, Cost(9));
+        assert!(c.update_cost(BlockAddr(1), Cost(5)));
+        assert!(!c.update_cost(BlockAddr(99), Cost(5)));
+        assert_eq!(c.policy().0, [(BlockAddr(1), Way(0), Cost(5))]);
+        // No access: block 1 is still the LRU block.
+        assert_eq!(c.recency_of(SetIndex(0)), [BlockAddr(2), BlockAddr(1)]);
     }
 
     #[test]

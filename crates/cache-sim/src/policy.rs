@@ -156,6 +156,13 @@ pub trait ReplacementPolicy {
         let _ = (set, block, way, cost);
     }
 
+    /// The stored miss cost of the resident `block` in `way` changed in
+    /// place to `cost` ([`Cache::update_cost`](crate::Cache::update_cost)),
+    /// with no access and no move in the recency stack.
+    fn on_cost_update(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+        let _ = (set, block, way, cost);
+    }
+
     /// `block` was invalidated. `resident` carries the way and stack position
     /// the block occupied if it was resident in the cache; policies with
     /// shadow state (e.g. DCL's ETD) must also handle non-resident blocks.
@@ -188,6 +195,9 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
     }
     fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
         (**self).on_fill(set, block, way, cost);
+    }
+    fn on_cost_update(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+        (**self).on_cost_update(set, block, way, cost);
     }
     fn on_invalidate(
         &mut self,

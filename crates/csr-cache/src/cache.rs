@@ -103,7 +103,9 @@ impl<K, V, S> CacheBuilder<K, V, S> {
     ///   automaton flips) fed by the shards' policy cores;
     /// * `csr_cache_op_latency_ns{policy, op, shard}` — sampled per-shard
     ///   `get`/`insert` latency histograms (see
-    ///   [`latency_sample_every`](Self::latency_sample_every)).
+    ///   [`latency_sample_every`](Self::latency_sample_every));
+    /// * `csr_cache_victim_walk_items{policy}` — recency-list items the
+    ///   policy pulled per eviction, recorded on every eviction.
     ///
     /// Export the registry with `csr_obs::export::prometheus` or
     /// `csr_obs::export::json` (also available through

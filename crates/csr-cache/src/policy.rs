@@ -212,7 +212,7 @@ mod tests {
             .collect();
         for p in Policy::ALL {
             let mut core = p.build_core(4);
-            let v = core.victim(&mut entries.iter().rev().copied());
+            let v = core.victim(&mut csr::ViewWalk::new(&cache_sim::SetView::new(&entries)));
             // Uniform costs: every policy falls back to the LRU way.
             assert_eq!(v, Way(3), "{p}");
         }

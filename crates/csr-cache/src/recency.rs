@@ -7,10 +7,12 @@
 //! (hit, miss, fill, eviction) so both users feed it identical event
 //! streams. Victim selection hands the core a lazy walk from the tail
 //! along the `prev` links: the core pulls only the nodes its decision
-//! needs, and nothing the size of the list is ever copied.
+//! needs, and nothing the size of the list is ever copied. A core that
+//! remembers a node from an earlier walk resumes just past it in O(1): the
+//! walk checks the slot's `id` and follows its `prev` link.
 
 use cache_sim::{BlockAddr, Cost, Way, WayView};
-use csr::EvictionPolicy;
+use csr::{EvictionPolicy, Walk};
 
 /// Sentinel slot index for list ends.
 const NIL: u32 = u32::MAX;
@@ -115,13 +117,12 @@ impl<T> RecencyList<T> {
     }
 
     /// The victim walk: [`iter_lru`](Self::iter_lru) as the policy sees it.
-    pub(crate) fn walk(&self) -> impl ExactSizeIterator<Item = WayView> + '_ {
-        self.iter_lru().map(|(i, n)| WayView {
-            way: Way(i as usize),
-            block: n.id,
-            cost: Cost(n.cost),
-            dirty: false,
-        })
+    pub(crate) fn walk(&self) -> LruWalk<'_, T> {
+        LruWalk {
+            inner: self.iter_lru(),
+            pulled: 0,
+            resumed: false,
+        }
     }
 
     /// An access hit the node in slot `i`: notifies `policy` (before the
@@ -197,12 +198,17 @@ impl<T> RecencyList<T> {
     }
 
     /// Lets `policy` pick a victim from the lazy LRU → MRU walk and removes
-    /// it. Returns the node and whether it was the LRU node (`false` is a
-    /// reservation).
-    pub(crate) fn evict(&mut self, policy: &mut dyn EvictionPolicy) -> (Node<T>, bool) {
-        let victim = policy.victim(&mut self.walk()).0 as u32;
+    /// it.
+    pub(crate) fn evict(&mut self, policy: &mut dyn EvictionPolicy) -> Evicted<T> {
+        let mut walk = self.walk();
+        let victim = policy.victim(&mut walk).0 as u32;
+        let walked = walk.pulled;
         let was_lru = self.tail == victim;
-        (self.remove(victim), was_lru)
+        Evicted {
+            node: self.remove(victim),
+            was_lru,
+            walked,
+        }
     }
 
     /// Drops every node.
@@ -213,6 +219,15 @@ impl<T> RecencyList<T> {
         self.tail = NIL;
         self.len = 0;
     }
+}
+
+/// A node [`RecencyList::evict`] removed.
+pub(crate) struct Evicted<T> {
+    pub(crate) node: Node<T>,
+    /// Whether it was the LRU node (`false` is a reservation).
+    pub(crate) was_lru: bool,
+    /// Items the policy pulled from the victim walk.
+    pub(crate) walked: usize,
 }
 
 /// [`RecencyList::iter_lru`]: follows the `prev` links from the tail.
@@ -243,6 +258,49 @@ impl<'a, T> Iterator for IterLru<'a, T> {
 
 impl<T> ExactSizeIterator for IterLru<'_, T> {}
 
+/// [`RecencyList::walk`]: the nodes LRU → MRU as [`WayView`]s, counting
+/// the items pulled.
+pub(crate) struct LruWalk<'a, T> {
+    inner: IterLru<'a, T>,
+    pulled: usize,
+    /// After a resume the walk no longer knows its exact length, only a
+    /// bound (`inner.remaining`).
+    resumed: bool,
+}
+
+impl<T> Iterator for LruWalk<'_, T> {
+    type Item = WayView;
+
+    fn next(&mut self) -> Option<WayView> {
+        let (i, n) = self.inner.next()?;
+        self.pulled += 1;
+        Some(WayView {
+            way: Way(i as usize),
+            block: n.id,
+            cost: Cost(n.cost),
+            dirty: false,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.inner.remaining;
+        (if self.resumed { 0 } else { left }, Some(left))
+    }
+}
+
+impl<T> Walk for LruWalk<'_, T> {
+    fn resume_after(&mut self, way: Way, block: BlockAddr) -> bool {
+        match self.inner.list.slots.get(way.0) {
+            Some(Some(n)) if n.id == block => {
+                self.inner.cur = n.prev;
+                self.resumed = true;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +318,7 @@ mod tests {
         let b = list.insert(BlockAddr(2), 6, (), &mut core);
         list.insert(BlockAddr(3), 7, (), &mut core);
         assert_eq!(order(&list), [1, 2, 3]);
-        assert_eq!(list.walk().len(), 3);
+        assert_eq!(list.walk().size_hint(), (3, Some(3)));
         list.hit(a, &mut core);
         assert_eq!(order(&list), [2, 3, 1]);
         assert_eq!(list.remove(b).id, BlockAddr(2));
@@ -278,11 +336,37 @@ mod tests {
         let mut list = RecencyList::with_capacity(2);
         list.insert(BlockAddr(1), 5, (), &mut core);
         list.insert(BlockAddr(2), 6, (), &mut core);
-        let (node, was_lru) = list.evict(&mut core);
-        assert_eq!((node.id, was_lru), (BlockAddr(1), true));
+        let e = list.evict(&mut core);
+        assert_eq!((e.node.id, e.was_lru, e.walked), (BlockAddr(1), true, 1));
         assert_eq!(order(&list), [2]);
-        assert_eq!(list.walk().len(), 1);
+        assert_eq!(list.walk().size_hint(), (1, Some(1)));
         list.clear();
         assert_eq!(order(&list), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn walk_resumes_past_a_slot_that_still_holds_its_block() {
+        let mut core = LruCore::new();
+        let mut list = RecencyList::with_capacity(4);
+        for b in 1..=4 {
+            list.insert(BlockAddr(b), 1, (), &mut core);
+        }
+        // LRU → MRU: 1 2 3 4 in slots 0..4.
+        let mut walk = list.walk();
+        assert_eq!(walk.next().map(|e| e.block), Some(BlockAddr(1)));
+        assert!(walk.resume_after(Way(2), BlockAddr(3)));
+        assert_eq!(walk.size_hint(), (0, Some(3)));
+        assert_eq!(walk.next().map(|e| e.block), Some(BlockAddr(4)));
+        assert_eq!(walk.next(), None);
+        assert_eq!(walk.pulled, 2);
+        // A freed slot, a reused slot and an out-of-range slot all refuse.
+        list.remove(1);
+        let mut walk = list.walk();
+        assert!(!walk.resume_after(Way(1), BlockAddr(2)));
+        assert!(!walk.resume_after(Way(9), BlockAddr(2)));
+        list.insert(BlockAddr(5), 1, (), &mut core);
+        let mut walk = list.walk();
+        assert!(!walk.resume_after(Way(1), BlockAddr(2)));
+        assert_eq!(walk.next().map(|e| e.block), Some(BlockAddr(1)));
     }
 }

@@ -268,8 +268,8 @@ impl Ghost {
         }
         self.list.miss(id, &mut *self.core);
         if self.map.len() == self.capacity {
-            let (evicted, _) = self.list.evict(&mut *self.core);
-            self.map.remove(&evicted.id.0);
+            let evicted = self.list.evict(&mut *self.core);
+            self.map.remove(&evicted.node.id.0);
         }
         let i = self.list.insert(id, cost, (), &mut *self.core);
         self.map.insert(id.0, i);

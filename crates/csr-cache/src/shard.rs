@@ -67,14 +67,20 @@ impl ShardCounters {
 /// nanoseconds. Sampling keeps the disabled-in-practice cost of two clock
 /// reads off the hot path, at the price of a skew documented on
 /// [`CacheBuilder::latency_sample_every`](crate::CacheBuilder::latency_sample_every).
+///
+/// The victim-walk histogram is not sampled: every eviction records the
+/// number of recency-list items its policy pulled.
 pub(crate) struct ShardMetrics {
     get_ns: OpTimer,
     insert_ns: OpTimer,
+    walk_items: Arc<Histogram>,
 }
 
 impl ShardMetrics {
     /// Prometheus family name of the op-latency histograms.
     pub(crate) const LATENCY_FAMILY: &'static str = "csr_cache_op_latency_ns";
+    /// Prometheus family name of the items-pulled-per-eviction histogram.
+    pub(crate) const WALK_FAMILY: &'static str = "csr_cache_victim_walk_items";
 
     pub(crate) fn new(registry: &Registry, policy: &str, shard: usize, sample_every: u64) -> Self {
         let shard = shard.to_string();
@@ -88,6 +94,11 @@ impl ShardMetrics {
         ShardMetrics {
             get_ns: OpTimer::new(hist("get"), sample_every),
             insert_ns: OpTimer::new(hist("insert"), sample_every),
+            walk_items: registry.histogram(
+                Self::WALK_FAMILY,
+                "Recency-list items the policy pulled per eviction",
+                &[("policy", policy)],
+            ),
         }
     }
 }
@@ -370,11 +381,14 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         st.list.miss(id, &mut *st.policy);
 
         if st.map.len() == self.capacity {
-            let (evicted, was_lru) = st.list.evict(&mut *st.policy);
-            if !was_lru {
+            let evicted = st.list.evict(&mut *st.policy);
+            if !evicted.was_lru {
                 ShardCounters::bump(&self.counters.reservations);
             }
-            st.map.remove(&evicted.item.key);
+            if let Some(m) = &self.metrics {
+                m.walk_items.record(evicted.walked as u64);
+            }
+            st.map.remove(&evicted.node.item.key);
             ShardCounters::bump(&self.counters.evictions);
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }

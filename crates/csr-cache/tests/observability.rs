@@ -236,3 +236,31 @@ fn prometheus_and_json_round_trip_the_same_numbers() {
         .sum();
     assert_eq!(hist_counts, i64::try_from(lookups).unwrap());
 }
+
+#[test]
+fn victim_walk_histogram_records_every_eviction() {
+    for (policy, label) in [(Policy::Lru, "LRU"), (Policy::Dcl, "DCL")] {
+        let registry = Arc::new(Registry::new());
+        let cache = observed_cache(&registry, policy);
+        run_workload(&cache, 20_000);
+        let stats = cache.stats();
+        let snap = registry.snapshot();
+        let walked = snap
+            .family("csr_cache_victim_walk_items")
+            .expect("walk family")
+            .sample_with(&[("policy", label)])
+            .expect("one histogram per policy, shared by the shards")
+            .value
+            .as_histogram()
+            .expect("histogram sample");
+        assert!(stats.evictions > 0, "{label}");
+        assert_eq!(walked.count(), stats.evictions, "{label}");
+        if label == "LRU" {
+            // LRU reads the LRU item and nothing else.
+            assert_eq!(walked.sum(), stats.evictions);
+        } else {
+            // A reservation reads the LRU item and its victim at least.
+            assert!(walked.sum() >= stats.evictions + stats.reservations);
+        }
+    }
+}

@@ -970,6 +970,9 @@ struct DeadlineReader {
     /// When the first byte of the request in progress arrived; `None`
     /// between requests.
     started: Option<Instant>,
+    /// The read timeout last set on the socket, so an unchanged one (the
+    /// idle case) costs no system call.
+    timeout: Option<Duration>,
 }
 
 impl DeadlineReader {
@@ -985,6 +988,7 @@ impl DeadlineReader {
             idle,
             partial,
             started: None,
+            timeout: None,
         }
     }
 
@@ -1038,7 +1042,10 @@ impl io::BufRead for DeadlineReader {
                     left.min(self.idle)
                 }
             };
-            self.stream.set_read_timeout(Some(timeout))?;
+            if self.timeout != Some(timeout) {
+                self.stream.set_read_timeout(Some(timeout))?;
+                self.timeout = Some(timeout);
+            }
             let n = self.inner.fill_buf()?.len();
             if n > 0 && self.started.is_none() {
                 self.started = Some(Instant::now());

@@ -20,9 +20,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy, Walk};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counter ceiling of the 2-bit automaton.
@@ -188,13 +188,13 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
         "ACL"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let lru = lru_item(walk);
         self.tracker.sync_to(Some((lru.block, lru.cost)));
         if self.automaton.enabled() {
             // DCL behaviour: reserve the LRU block if a cheaper block sits
             // above it.
-            if let Some(e) = reservation_victim(walk, self.tracker.acost()) {
+            if let Some(e) = self.tracker.reservation_victim(walk) {
                 self.etd.insert(e.block, e.cost);
                 if !self.automaton.reserved {
                     self.automaton.reserved = true;
@@ -210,8 +210,12 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
             // Watch mode: remember the evicted LRU block if a reservation
             // *could* have been made (a cheaper block exists in the set).
             // This is the reservation scan against the LRU block's full
-            // cost, so it too stops at the first cheaper block.
-            let cheaper_exists = reservation_victim(walk, lru.cost.0).is_some();
+            // cost, so it too stops at the first cheaper block. Watch mode
+            // never depreciates, and every watch-mode eviction (and the
+            // flip into watch mode) ends the tracked block's stay, so the
+            // tracker was just loaded with that full cost.
+            debug_assert_eq!(self.tracker.acost(), lru.cost.0);
+            let cheaper_exists = self.tracker.reservation_victim(walk).is_some();
             if cheaper_exists {
                 self.etd.insert(lru.block, lru.cost);
                 self.stats.watch_inserts += 1;
@@ -268,6 +272,10 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
             self.end_reservation_failure();
         }
         self.tracker.note_departure(block);
+    }
+
+    fn on_cost_update(&mut self, _block: BlockAddr, _way: Way, _cost: Cost) {
+        self.tracker.note_cost_update();
     }
 }
 

@@ -14,9 +14,9 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Bcl`] replicates one core
 //! per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy, Walk};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Bcl`] / [`BclCore`].
@@ -113,11 +113,11 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
         "BCL"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let lru = lru_item(walk);
         self.tracker.sync_to(Some((lru.block, lru.cost)));
         // Figure 1: for i = s-1 downto 1, first block with c[i] < Acost.
-        if let Some(chosen) = reservation_victim(walk, self.tracker.acost()) {
+        if let Some(chosen) = self.tracker.reservation_victim(walk) {
             let amount = chosen.cost.0.saturating_mul(self.factor);
             self.tracker.depreciate(Cost(amount));
             self.stats.reservations += 1;
@@ -146,6 +146,10 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
 
     fn on_remove(&mut self, block: BlockAddr) {
         self.tracker.note_departure(block);
+    }
+
+    fn on_cost_update(&mut self, _block: BlockAddr, _way: Way, _cost: Cost) {
+        self.tracker.note_cost_update();
     }
 }
 

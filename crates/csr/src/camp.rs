@@ -19,7 +19,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy, Walk};
 use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -188,7 +188,7 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
         "CAMP"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let (lru, by_block) = collect_walk(walk);
         // Every pass removes one block from the structures, so this
         // terminates; blocks unknown to the walk are dropped and retried.
@@ -347,7 +347,12 @@ mod tests {
             })
             .collect();
         let mut core = CampCore::new(4);
-        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
+        assert_eq!(
+            core.victim(&mut crate::eviction::ViewWalk::new(
+                &cache_sim::SetView::new(&entries)
+            )),
+            Way(3)
+        );
         assert_eq!(core.name(), "CAMP");
     }
 }

@@ -14,9 +14,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, lru_item, EvictionPolicy, Walk};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Dcl`] / [`DclCore`].
@@ -120,10 +120,10 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
         "DCL"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let lru = lru_item(walk);
         self.tracker.sync_to(Some((lru.block, lru.cost)));
-        if let Some(e) = reservation_victim(walk, self.tracker.acost()) {
+        if let Some(e) = self.tracker.reservation_victim(walk) {
             // Unlike BCL, no depreciation here: the displaced block is
             // recorded in the ETD and charged only if re-referenced.
             self.etd.insert(e.block, e.cost);
@@ -168,6 +168,10 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
     fn on_remove(&mut self, block: BlockAddr) {
         self.etd.invalidate(block);
         self.tracker.note_departure(block);
+    }
+
+    fn on_cost_update(&mut self, _block: BlockAddr, _way: Way, _cost: Cost) {
+        self.tracker.note_cost_update();
     }
 }
 

@@ -14,17 +14,80 @@
 //!
 //! Every notification carries only O(1) facts (block identity, cost,
 //! whether the block is at the LRU end). Victim selection receives a
-//! **walk**: an iterator that yields the region's blocks one at a time,
-//! from the LRU end toward the MRU end, only as far as the policy pulls it.
-//! The paper's Figure 1 scan is already incremental, so LRU reads one item
-//! and BCL/DCL/ACL stop at the first block cheaper than `Acost`; a
-//! linked-list shard of any size never copies its recency order. The
-//! simulator adapts its materialized [`SetView`] with
-//! `view.iter().rev().copied()`.
+//! [`Walk`]: an iterator that yields the region's blocks one at a time,
+//! from the LRU end toward the MRU end, only as far as the policy pulls it,
+//! and that can jump to just past a block it yielded in an earlier walk
+//! ([`Walk::resume_after`]). The paper's Figure 1 scan is incremental, so
+//! LRU reads one item and BCL/DCL/ACL stop at the first block cheaper than
+//! `Acost`. Across evictions under one reserved LRU block, BCL/DCL/ACL also
+//! resume where their last scan stopped instead of re-reading the blocks it
+//! skipped (see `reserve`), so a linked-list shard of any size neither
+//! copies its recency order nor re-walks it. The simulator adapts its
+//! materialized [`SetView`] with [`ViewWalk`].
 
 use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::HashMap;
+
+/// A victim walk: the blocks of one full region, yielded from the LRU end
+/// toward the MRU end, plus a jump to just past a block a policy saw in an
+/// earlier walk of the same region.
+pub trait Walk: Iterator<Item = WayView> {
+    /// Repositions the walk just past `way` (toward the MRU end), so the
+    /// next item is the block one place more recent than `block`. Returns
+    /// `false` and leaves the walk unchanged if `way` no longer holds
+    /// `block`.
+    fn resume_after(&mut self, way: Way, block: BlockAddr) -> bool;
+}
+
+/// The [`Walk`] over a materialized [`SetView`] (MRU → LRU order), as the
+/// set-indexed simulator policies hand it to their cores. Resuming finds
+/// the way by a linear search of the set: at most one compare per way.
+#[derive(Debug)]
+pub struct ViewWalk<'v, 'a> {
+    view: &'v SetView<'a>,
+    /// Items not yet yielded; the next one sits at stack position
+    /// `remaining - 1`.
+    remaining: usize,
+}
+
+impl<'v, 'a> ViewWalk<'v, 'a> {
+    /// A walk over every block of `view`, starting at its LRU end.
+    #[must_use]
+    pub fn new(view: &'v SetView<'a>) -> Self {
+        ViewWalk {
+            view,
+            remaining: view.len(),
+        }
+    }
+}
+
+impl Iterator for ViewWalk<'_, '_> {
+    type Item = WayView;
+
+    fn next(&mut self) -> Option<WayView> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(*self.view.at(self.remaining))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for ViewWalk<'_, '_> {}
+
+impl Walk for ViewWalk<'_, '_> {
+    fn resume_after(&mut self, way: Way, block: BlockAddr) -> bool {
+        match self.view.position_of(way) {
+            Some(pos) if self.view.at(pos).block == block => {
+                self.remaining = pos;
+                true
+            }
+            _ => false,
+        }
+    }
+}
 
 /// A replacement policy for a single region (one cache set, one shard).
 ///
@@ -34,8 +97,11 @@ use std::collections::HashMap;
 ///   on a full region (every way holds a valid block). Its walk yields the
 ///   valid blocks in LRU → MRU order, the first item being the LRU block;
 ///   the policy pulls only as many items as its decision needs, and the
-///   returned way (one the walk yielded) will be evicted. The walk borrows
-///   the region, so it is short-lived: a policy must not retain it.
+///   returned way (one the walk yielded, or one at or past a block it
+///   resumed after) will be evicted. The walk borrows the region, so it is
+///   short-lived: a policy must not retain it, though it may remember a
+///   `(way, block)` pair to [`resume_after`](Walk::resume_after) in a later
+///   walk.
 /// * [`on_hit`](Self::on_hit) is delivered *before* the block is promoted
 ///   to the MRU position; `is_lru` reports whether it currently sits at the
 ///   LRU end.
@@ -48,13 +114,21 @@ use std::collections::HashMap;
 /// * [`on_remove`](Self::on_remove) must be called when a block leaves the
 ///   region for any reason other than eviction chosen by
 ///   [`victim`](Self::victim) (coherence invalidation, explicit removal).
+/// * A block moves in the recency order only through
+///   [`on_hit`](Self::on_hit) (before its promotion), enters only at the
+///   MRU end ([`on_fill`](Self::on_fill)), and changes cost either by a
+///   hit followed by a fill or in place, announced by
+///   [`on_cost_update`](Self::on_cost_update). A policy that resumes its
+///   walk relies on these facts: the blocks between the LRU end and a
+///   remembered block can only leave, never arrive, until a notification
+///   names one of the two or announces a cost change.
 pub trait EvictionPolicy {
     /// A short human-readable name ("LRU", "GD", "BCL", …).
     fn name(&self) -> &'static str;
 
     /// Selects the way to evict from the full region, pulling blocks from
     /// `walk` (LRU first) only as far as the decision requires.
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way;
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way;
 
     /// An access hit `block` on `way` (cost as loaded at fill time);
     /// `is_lru` is true when the block is currently at the LRU end.
@@ -78,13 +152,19 @@ pub trait EvictionPolicy {
     fn on_remove(&mut self, block: BlockAddr) {
         let _ = block;
     }
+
+    /// The resident `block` in `way` now costs `cost`, changed in place
+    /// without an access (no promotion, no fill).
+    fn on_cost_update(&mut self, block: BlockAddr, way: Way, cost: Cost) {
+        let _ = (block, way, cost);
+    }
 }
 
 impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         (**self).victim(walk)
     }
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
@@ -98,6 +178,9 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     }
     fn on_remove(&mut self, block: BlockAddr) {
         (**self).on_remove(block);
+    }
+    fn on_cost_update(&mut self, block: BlockAddr, way: Way, cost: Cost) {
+        (**self).on_cost_update(block, way, cost);
     }
 }
 
@@ -132,7 +215,7 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
         "LRU"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let lru = lru_item(walk);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way
@@ -153,7 +236,7 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
 ///
 /// Panics if the walk is empty, which the [`EvictionPolicy`] contract rules
 /// out.
-pub(crate) fn lru_item(walk: &mut dyn Iterator<Item = WayView>) -> WayView {
+pub(crate) fn lru_item(walk: &mut dyn Walk) -> WayView {
     walk.next().expect("victim() requires a non-empty region")
 }
 
@@ -162,7 +245,7 @@ pub(crate) fn lru_item(walk: &mut dyn Iterator<Item = WayView>) -> WayView {
 /// smallest `key` and that key. The strict `<` resolves ties toward the LRU
 /// end.
 pub(crate) fn min_victim(
-    walk: &mut dyn Iterator<Item = WayView>,
+    walk: &mut dyn Walk,
     key: impl Fn(&WayView) -> u64,
 ) -> (WayView, WayView, u64) {
     let lru = lru_item(walk);
@@ -179,9 +262,7 @@ pub(crate) fn min_victim(
 /// Collects a whole victim walk for the queue policies (S3-FIFO, SLRU,
 /// CAMP), whose own queues name the victim by block identity: returns the
 /// LRU block and a block → way-view map of every resident block.
-pub(crate) fn collect_walk(
-    walk: &mut dyn Iterator<Item = WayView>,
-) -> (WayView, HashMap<BlockAddr, WayView>) {
+pub(crate) fn collect_walk(walk: &mut dyn Walk) -> (WayView, HashMap<BlockAddr, WayView>) {
     let lru = lru_item(walk);
     let (lower, _) = walk.size_hint();
     let mut by_block = HashMap::with_capacity(lower + 1);
@@ -226,7 +307,7 @@ macro_rules! impl_replacement_via_cores {
             ) -> cache_sim::Way {
                 crate::eviction::EvictionPolicy::victim(
                     &mut self.cores[set.0],
-                    &mut view.iter().rev().copied(),
+                    &mut crate::eviction::ViewWalk::new(view),
                 )
             }
 
@@ -267,6 +348,21 @@ macro_rules! impl_replacement_via_cores {
                 crate::eviction::EvictionPolicy::on_fill(&mut self.cores[set.0], block, way, cost);
             }
 
+            fn on_cost_update(
+                &mut self,
+                set: cache_sim::SetIndex,
+                block: cache_sim::BlockAddr,
+                way: cache_sim::Way,
+                cost: cache_sim::Cost,
+            ) {
+                crate::eviction::EvictionPolicy::on_cost_update(
+                    &mut self.cores[set.0],
+                    block,
+                    way,
+                    cost,
+                );
+            }
+
             fn on_invalidate(
                 &mut self,
                 set: cache_sim::SetIndex,
@@ -303,7 +399,7 @@ mod tests {
     fn lru_core_picks_the_lru_way() {
         let e = entries(&[(1, 5), (2, 9), (3, 1)]);
         let mut core = LruCore::new();
-        assert_eq!(core.victim(&mut e.iter().rev().copied()), Way(2));
+        assert_eq!(core.victim(&mut ViewWalk::new(&SetView::new(&e))), Way(2));
         assert_eq!(core.name(), "LRU");
     }
 
@@ -311,12 +407,35 @@ mod tests {
     fn boxed_core_dispatches() {
         let e = entries(&[(1, 5), (2, 9)]);
         let mut boxed: Box<dyn EvictionPolicy> = Box::new(LruCore::new());
-        assert_eq!(boxed.victim(&mut e.iter().rev().copied()), Way(1));
+        assert_eq!(boxed.victim(&mut ViewWalk::new(&SetView::new(&e))), Way(1));
         // Default notifications are no-ops and must not panic.
         boxed.on_hit(BlockAddr(1), Way(0), Cost(5), false);
         boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));
         boxed.on_fill(BlockAddr(7), Way(1), Cost(3));
         boxed.on_remove(BlockAddr(7));
+    }
+
+    #[test]
+    fn view_walk_resumes_past_a_block_it_still_holds() {
+        // MRU → LRU: blocks 1, 2, 3, 4 in ways 0..4.
+        let e = entries(&[(1, 5), (2, 9), (3, 1), (4, 2)]);
+        let view = SetView::new(&e);
+        let mut walk = ViewWalk::new(&view);
+        assert_eq!(walk.len(), 4);
+        assert_eq!(walk.next().map(|v| v.block), Some(BlockAddr(4)));
+        // Way 2 holds block 3: the walk continues with block 2.
+        assert!(walk.resume_after(Way(2), BlockAddr(3)));
+        assert_eq!(walk.len(), 2);
+        assert_eq!(walk.next().map(|v| v.block), Some(BlockAddr(2)));
+        // A stale pair leaves the walk where it was.
+        assert!(!walk.resume_after(Way(2), BlockAddr(9)));
+        assert!(!walk.resume_after(Way(7), BlockAddr(3)));
+        assert_eq!(walk.next().map(|v| v.block), Some(BlockAddr(1)));
+        assert_eq!(walk.next(), None);
+        // Resuming after the MRU block ends the walk.
+        let mut walk = ViewWalk::new(&view);
+        assert!(walk.resume_after(Way(0), BlockAddr(1)));
+        assert_eq!(walk.next(), None);
     }
 
     #[test]

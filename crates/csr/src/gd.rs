@@ -16,8 +16,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`GreedyDual`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy, Walk};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`GreedyDual`] / [`GdCore`].
@@ -81,7 +81,7 @@ impl<O: Observer> EvictionPolicy for GdCore<O> {
         "GD"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         // Minimum-H block; ties resolve toward the LRU end.
         let (lru, chosen, hmin) = min_victim(walk, |e| self.h[e.way.0]);
         // Deduct the victim's remaining value from every surviving block.

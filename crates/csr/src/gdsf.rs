@@ -16,8 +16,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Gdsf`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy, Walk};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Gdsf`] / [`GdsfCore`].
@@ -102,7 +102,7 @@ impl<O: Observer> EvictionPolicy for GdsfCore<O> {
         "GDSF"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         // Minimum-K block; ties resolve toward the LRU end.
         let (lru, chosen, kmin) = min_victim(walk, |e| self.prio[e.way.0]);
         self.age = self.age.max(kmin);

@@ -15,8 +15,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Lfuda`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy};
-use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
+use crate::eviction::{impl_replacement_via_cores, min_victim, EvictionPolicy, Walk};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Lfuda`] / [`LfudaCore`].
@@ -94,7 +94,7 @@ impl<O: Observer> EvictionPolicy for LfudaCore<O> {
         "LFUDA"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         // Minimum-K block; ties resolve toward the LRU end.
         let (lru, chosen, kmin) = min_victim(walk, |e| self.prio[e.way.0]);
         // Dynamic aging: the evicted key becomes the region age.

@@ -100,7 +100,7 @@ pub use csopt::{simulate_csopt, CsoptLimits};
 pub use csr_obs::{NopObserver, Observer};
 pub use dcl::{Dcl, DclCore, DclStats};
 pub use etd::{Etd, EtdConfig, EtdSet, EtdStats, EtdView};
-pub use eviction::{EvictionPolicy, LruCore};
+pub use eviction::{EvictionPolicy, LruCore, ViewWalk, Walk};
 pub use gd::{GdCore, GdStats, GreedyDual};
 pub use gdsf::{Gdsf, GdsfCore, GdsfStats};
 pub use hw::{CostSource, HwParams, HwPolicy};

@@ -21,7 +21,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy, Walk};
 use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -192,7 +192,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
         "S3-FIFO"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let (lru, by_block) = collect_walk(walk);
         // Every pass either evicts, promotes a small head (at most once per
         // live block), or decrements a main head's frequency (at most
@@ -428,7 +428,12 @@ mod tests {
             })
             .collect();
         let mut core = S3FifoCore::new(4);
-        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
+        assert_eq!(
+            core.victim(&mut crate::eviction::ViewWalk::new(
+                &cache_sim::SetView::new(&entries)
+            )),
+            Way(3)
+        );
         assert_eq!(core.name(), "S3-FIFO");
     }
 

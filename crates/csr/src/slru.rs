@@ -17,7 +17,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{collect_walk, impl_replacement_via_cores, EvictionPolicy, Walk};
 use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
@@ -160,7 +160,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
         "SLRU"
     }
 
-    fn victim(&mut self, walk: &mut dyn Iterator<Item = WayView>) -> Way {
+    fn victim(&mut self, walk: &mut dyn Walk) -> Way {
         let (lru, by_block) = collect_walk(walk);
         // Probationary LRU end first, then protected LRU end; skip blocks
         // the walk does not contain (a core hot-attached to a warm region).
@@ -375,7 +375,12 @@ mod tests {
             })
             .collect();
         let mut core = SlruCore::new(4);
-        assert_eq!(core.victim(&mut entries.iter().rev().copied()), Way(3));
+        assert_eq!(
+            core.victim(&mut crate::eviction::ViewWalk::new(
+                &cache_sim::SetView::new(&entries)
+            )),
+            Way(3)
+        );
         assert_eq!(core.name(), "SLRU");
     }
 }

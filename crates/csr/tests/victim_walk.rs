@@ -2,25 +2,34 @@
 //! timing). The walk runs LRU → MRU; the paper's Figure 1 scan is
 //! incremental, so LRU reads one item and BCL/DCL/ACL stop at the first
 //! block cheaper than `Acost`. With `Acost == 0` no block can be cheaper,
-//! and they read only the LRU block.
+//! and they read only the LRU block. Under one reserved LRU block, later
+//! scans resume past the blocks earlier ones skipped, so `k` reservations
+//! over an `n`-block region pull at most `n + 2k` items in total.
 
 use cache_sim::{BlockAddr, Cost, Way, WayView};
 use csr::{
     AclCore, BclCore, CampCore, DclCore, EvictionPolicy, GdCore, GdsfCore, LfudaCore, LruCore,
-    S3FifoCore, SlruCore,
+    S3FifoCore, SlruCore, Walk,
 };
 
 const WAYS: usize = 16;
 
-/// A walk over `costs` (LRU first) that counts the items pulled from it.
+/// A walk over `region` (LRU first) that counts the items pulled from it.
+/// Resuming finds the way by a search that is not counted: only the items
+/// a core reads are.
 struct CountingWalk<'a> {
-    costs: &'a [u64],
+    region: &'a [WayView],
+    pos: usize,
     pulled: usize,
 }
 
 impl<'a> CountingWalk<'a> {
-    fn new(costs: &'a [u64]) -> Self {
-        CountingWalk { costs, pulled: 0 }
+    fn new(region: &'a [WayView]) -> Self {
+        CountingWalk {
+            region,
+            pos: 0,
+            pulled: 0,
+        }
     }
 }
 
@@ -28,20 +37,41 @@ impl Iterator for CountingWalk<'_> {
     type Item = WayView;
 
     fn next(&mut self) -> Option<WayView> {
-        let i = self.pulled;
-        let &cost = self.costs.get(i)?;
+        let &e = self.region.get(self.pos)?;
+        self.pos += 1;
         self.pulled += 1;
-        Some(WayView {
-            way: Way(i),
-            block: block(i),
-            cost: Cost(cost),
-            dirty: false,
-        })
+        Some(e)
+    }
+}
+
+impl Walk for CountingWalk<'_> {
+    fn resume_after(&mut self, way: Way, block: BlockAddr) -> bool {
+        match self.region.iter().position(|e| e.way == way) {
+            Some(i) if self.region[i].block == block => {
+                self.pos = i + 1;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
 fn block(i: usize) -> BlockAddr {
     BlockAddr(100 + i as u64)
+}
+
+/// A full region from `costs` (LRU first): block `i` sits in way `i`.
+fn region(costs: &[u64]) -> Vec<WayView> {
+    costs
+        .iter()
+        .enumerate()
+        .map(|(i, &cost)| WayView {
+            way: Way(i),
+            block: block(i),
+            cost: Cost(cost),
+            dirty: false,
+        })
+        .collect()
 }
 
 /// Costs of a full region, LRU first: the LRU block and the `k - 1`
@@ -53,7 +83,11 @@ fn first_cheaper_at(k: usize) -> Vec<u64> {
 
 /// Runs one victim selection; returns the chosen way and the items pulled.
 fn pull(core: &mut dyn EvictionPolicy, costs: &[u64]) -> (Way, usize) {
-    let mut walk = CountingWalk::new(costs);
+    pull_region(core, &region(costs))
+}
+
+fn pull_region(core: &mut dyn EvictionPolicy, region: &[WayView]) -> (Way, usize) {
+    let mut walk = CountingWalk::new(region);
     let way = core.victim(&mut walk);
     (way, walk.pulled)
 }
@@ -141,5 +175,58 @@ fn priority_and_queue_cores_read_the_whole_walk() {
     ];
     for mut core in cores {
         assert_eq!(pull(&mut *core, &costs).1, WAYS, "{}", core.name());
+    }
+}
+
+#[test]
+fn consecutive_reservations_resume_where_the_last_scan_stopped() {
+    // An n-block region under one expensive LRU block (cost 1000): two in
+    // three blocks above it cost at least 1000, every third is cheap.
+    const N: usize = 96;
+    const K: usize = 24;
+    let costs: Vec<u64> = (0..N)
+        .map(|i| match i {
+            0 => 1000,
+            _ if i % 3 == 0 => 1,
+            _ => 1000 + i as u64,
+        })
+        .collect();
+    let cores: [Box<dyn EvictionPolicy>; 3] = [
+        Box::new(BclCore::new()),
+        Box::new(DclCore::for_ways(N)),
+        Box::new(enabled_acl()),
+    ];
+    for mut core in cores {
+        let mut live = region(&costs);
+        let mut total = 0;
+        for r in 0..K {
+            let (way, pulled) = pull_region(&mut *core, &live);
+            assert_ne!(
+                way,
+                Way(0),
+                "{}: reservation {r} keeps the LRU block",
+                core.name()
+            );
+            total += pulled;
+            // Evict the victim and fill an expensive block at the MRU end
+            // in its way.
+            let i = live.iter().position(|e| e.way == way).unwrap();
+            let gone = live.remove(i);
+            let fresh = BlockAddr(10_000 + r as u64);
+            core.on_miss(fresh, Some((live[0].block, live[0].cost)));
+            core.on_fill(fresh, way, Cost(5000));
+            live.push(WayView {
+                way,
+                block: fresh,
+                cost: Cost(5000),
+                dirty: gone.dirty,
+            });
+        }
+        assert!(
+            total <= N + 2 * K,
+            "{}: {K} reservations pulled {total} items (bound {})",
+            core.name(),
+            N + 2 * K
+        );
     }
 }
